@@ -15,7 +15,7 @@ void SelectiveInitLyraNode::propose_selectively(BytesView payload) {
   msg->cipher = vss_.encrypt(payload, sim().rng());
   const crypto::Digest value_id =
       compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
-  msg->sig = signer_.sign(value_id_bytes(value_id));
+  msg->sig = signer_.sign(value_id);
   fill_status(msg->status, /*broadcast=*/false);
   for (NodeId to = 0; to < std::min<std::size_t>(recipients_, config_.n);
        ++to) {
@@ -85,7 +85,7 @@ std::shared_ptr<core::InitMsg> EquivocatingLyraNode::make_init(
   msg->cipher = vss_.encrypt(payload, sim().rng());
   const crypto::Digest value_id =
       compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
-  msg->sig = signer_.sign(value_id_bytes(value_id));
+  msg->sig = signer_.sign(value_id);
   fill_status(msg->status, /*broadcast=*/false);
   return msg;
 }

@@ -1,10 +1,11 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace lyra::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > block.size()) {
     const Digest kd = Sha256::hash(key);
@@ -19,16 +20,22 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = block[i] ^ 0x36;
     opad[i] = block[i] ^ 0x5c;
   }
+  inner_.update(ipad.data(), ipad.size());
+  outer_.update(opad.data(), opad.size());
+}
 
-  Sha256 inner;
-  inner.update(ipad.data(), ipad.size());
-  inner.update(message);
-  const Digest inner_digest = inner.finalize();
+Digest HmacKey::finish(Sha256 inner) const {
+  return outer_.finish_with(inner.finalize());
+}
 
-  Sha256 outer;
-  outer.update(opad.data(), opad.size());
-  outer.update(inner_digest.data(), inner_digest.size());
-  return outer.finalize();
+Digest HmacKey::mac(BytesView message) const {
+  Sha256 h = inner();
+  h.update(message);
+  return finish(h);
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacKey(key).mac(message);
 }
 
 }  // namespace lyra::crypto

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/hmac.hpp"
 #include "support/assert.hpp"
 
 namespace lyra::crypto {
@@ -11,16 +10,6 @@ namespace {
 constexpr std::string_view kSignDomain = "sig";
 constexpr std::string_view kShareDomain = "thr";
 constexpr std::string_view kSealDomain = "seal";
-
-Bytes domain_tagged(std::string_view domain, BytesView message) {
-  Bytes input;
-  input.reserve(domain.size() + 1 + message.size());
-  append(input, BytesView(reinterpret_cast<const std::uint8_t*>(domain.data()),
-                          domain.size()));
-  input.push_back(0);
-  append(input, message);
-  return input;
-}
 }  // namespace
 
 KeyRegistry::KeyRegistry(std::size_t num_processes, std::size_t threshold,
@@ -29,35 +18,41 @@ KeyRegistry::KeyRegistry(std::size_t num_processes, std::size_t threshold,
   LYRA_ASSERT(num_processes > 0, "registry needs at least one process");
   LYRA_ASSERT(threshold > 0 && threshold <= num_processes,
               "threshold must be in [1, n]");
-  secrets_.reserve(num_processes);
+  keys_.reserve(num_processes);
   for (std::size_t i = 0; i < num_processes; ++i) {
-    Bytes secret(32);
+    std::uint8_t secret[32];
     for (auto& b : secret) b = static_cast<std::uint8_t>(rng.next_u64());
-    secrets_.push_back(std::move(secret));
+    keys_.emplace_back(secret);
   }
 }
 
 Signer KeyRegistry::signer_for(NodeId id) const {
-  LYRA_ASSERT(id < secrets_.size(), "unknown process id");
+  LYRA_ASSERT(id < keys_.size(), "unknown process id");
   return Signer(this, id);
 }
 
 Digest KeyRegistry::mac_for(NodeId id, BytesView message,
                             std::string_view domain) const {
-  LYRA_ASSERT(id < secrets_.size(), "unknown process id");
-  const Bytes input = domain_tagged(domain, message);
-  return hmac_sha256(secrets_[id], input);
+  LYRA_ASSERT(id < keys_.size(), "unknown process id");
+  // MAC over domain || 0 || message, streamed without an input copy.
+  const HmacKey& key = keys_[id];
+  Sha256 h = key.inner();
+  h.update(domain.data(), domain.size());
+  const std::uint8_t separator = 0;
+  h.update(&separator, 1);
+  h.update(message);
+  return key.finish(h);
 }
 
 bool KeyRegistry::verify(BytesView message, const Signature& sig,
                          NodeId claimed) const {
-  if (sig.signer != claimed || claimed >= secrets_.size()) return false;
+  if (sig.signer != claimed || claimed >= keys_.size()) return false;
   return mac_for(claimed, message, kSignDomain) == sig.mac;
 }
 
 bool KeyRegistry::share_verify(BytesView message, const SigShare& share,
                                NodeId claimed) const {
-  if (share.signer != claimed || claimed >= secrets_.size()) return false;
+  if (share.signer != claimed || claimed >= keys_.size()) return false;
   return mac_for(claimed, message, kShareDomain) == share.mac;
 }
 

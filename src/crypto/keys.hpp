@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "crypto/hash.hpp"
+#include "crypto/hmac.hpp"
 #include "support/bytes.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
@@ -53,7 +54,7 @@ class KeyRegistry {
   /// of shares required by share-combine; the paper uses 2f+1.
   KeyRegistry(std::size_t num_processes, std::size_t threshold, Rng& rng);
 
-  std::size_t size() const { return secrets_.size(); }
+  std::size_t size() const { return keys_.size(); }
   std::size_t threshold() const { return threshold_; }
 
   /// Returns the signing handle for one process. Each process must only
@@ -81,7 +82,7 @@ class KeyRegistry {
 
   Digest mac_for(NodeId id, BytesView message, std::string_view domain) const;
 
-  std::vector<Bytes> secrets_;
+  std::vector<HmacKey> keys_;  // per-process secret, pads pre-absorbed
   std::size_t threshold_;
 };
 

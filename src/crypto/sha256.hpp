@@ -31,6 +31,12 @@ class Sha256 {
   /// One-shot convenience.
   static Digest hash(BytesView data);
 
+  /// Digest of what was absorbed so far followed by `tail`, in a single
+  /// compression: the absorbed input must end on a block boundary and
+  /// `tail` must fit in one block with its padding (at most 55 bytes). The
+  /// object is left unchanged, so one midstate serves many tails.
+  Digest finish_with(BytesView tail) const;
+
   /// Name of the compression kernel selected at runtime ("sha-ni" or
   /// "scalar").
   static const char* backend_name();

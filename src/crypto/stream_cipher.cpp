@@ -1,25 +1,25 @@
 #include "crypto/stream_cipher.hpp"
 
+#include <algorithm>
+
 namespace lyra::crypto {
 
 Bytes xor_keystream(const Digest& key, BytesView data) {
   Bytes out(data.begin(), data.end());
-  std::uint64_t counter = 0;
-  std::size_t pos = 0;
-  while (pos < out.size()) {
-    Sha256 h;
-    h.update(key.data(), key.size());
-    std::uint8_t ctr_le[8];
-    for (int i = 0; i < 8; ++i) {
-      ctr_le[i] = static_cast<std::uint8_t>(counter >> (8 * i));
-    }
-    h.update(ctr_le, sizeof ctr_le);
-    const Digest block = h.finalize();
+  // key || le64(counter) is 40 bytes, so each keystream block costs one
+  // compression from the initial state; only the counter bytes change.
+  std::uint8_t input[40] = {};
+  std::copy(key.begin(), key.end(), input);
+  const Sha256 initial;
 
-    const std::size_t take = std::min(block.size(), out.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) out[pos + i] ^= block[i];
-    pos += take;
-    ++counter;
+  std::uint64_t counter = 0;
+  for (std::size_t pos = 0; pos < out.size(); pos += 32, ++counter) {
+    for (int i = 0; i < 8; ++i) {
+      input[32 + i] = static_cast<std::uint8_t>(counter >> (8 * i));
+    }
+    const Digest ks = initial.finish_with(input);
+    const std::size_t take = std::min(ks.size(), out.size() - pos);
+    for (std::size_t i = 0; i < take; ++i) out[pos + i] ^= ks[i];
   }
   return out;
 }

@@ -71,20 +71,25 @@ VssShare Vss::partial_decrypt(const VssCipher& cipher,
 }
 
 bool Vss::verify_share(const VssCipher& cipher, const VssShare& share) const {
+  return share_matches(cipher, cipher.cipher_id(), share);
+}
+
+bool Vss::share_matches(const VssCipher& cipher, const Digest& cipher_id,
+                        const VssShare& share) const {
   if (share.owner >= cipher.share_commitments.size()) return false;
   if (share.key_share.x != static_cast<std::uint8_t>(share.owner + 1)) {
     return false;
   }
-  const Digest id = cipher.cipher_id();
   return cipher.share_commitments[share.owner] ==
-         share_commitment(id, share.owner, share.key_share);
+         share_commitment(cipher_id, share.owner, share.key_share);
 }
 
 std::optional<Bytes> Vss::decrypt(const VssCipher& cipher,
                                   const std::vector<VssShare>& shares) const {
+  const Digest id = cipher.cipher_id();
   std::vector<ShamirShare> valid;
   for (const VssShare& s : shares) {
-    if (verify_share(cipher, s)) valid.push_back(s.key_share);
+    if (share_matches(cipher, id, s)) valid.push_back(s.key_share);
     if (valid.size() == threshold_) break;
   }
   const auto key_bytes = Shamir::combine(valid, threshold_);

@@ -69,6 +69,9 @@ class Vss {
   Digest seal_key(const Signer& signer, const Digest& cipher_id) const;
   Digest share_commitment(const Digest& cipher_id, NodeId owner,
                           const ShamirShare& share) const;
+  /// verify_share() against an already computed cipher id.
+  bool share_matches(const VssCipher& cipher, const Digest& cipher_id,
+                     const VssShare& share) const;
 
   const KeyRegistry* registry_;
   std::uint32_t n_;

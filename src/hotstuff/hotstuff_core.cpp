@@ -242,11 +242,10 @@ BlockPtr HotStuffCore::lookup(const crypto::Digest& d) const {
   return it == blocks_.end() ? nullptr : it->second;
 }
 
-Bytes HotStuffCore::vote_message(std::uint64_t height,
-                                 const crypto::Digest& block) const {
-  const crypto::Digest d =
-      crypto::Hasher().add_str("hs-vote").add_u64(height).add(block).digest();
-  return Bytes(d.begin(), d.end());
+crypto::Digest HotStuffCore::vote_message(std::uint64_t height,
+                                          const crypto::Digest& block) const {
+  return crypto::Hasher().add_str("hs-vote").add_u64(height).add(block)
+      .digest();
 }
 
 void HotStuffCore::arm_pacemaker() {

@@ -85,7 +85,8 @@ class HotStuffCore {
   void update_high_qc(const QuorumCert& qc);
   void commit_chain(const Block& anchor);
   BlockPtr lookup(const crypto::Digest& d) const;
-  Bytes vote_message(std::uint64_t height, const crypto::Digest& block) const;
+  crypto::Digest vote_message(std::uint64_t height,
+                              const crypto::Digest& block) const;
   void arm_pacemaker();
   void on_pacemaker_timeout();
   TimeNs ccost(TimeNs base) const {

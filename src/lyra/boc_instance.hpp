@@ -19,6 +19,7 @@ struct BocInstance {
 
   // --- the value m = (c_t, S_t), learned from the INIT ---
   std::shared_ptr<const InitMsg> init;  // null until the INIT arrives
+  crypto::Digest cipher_id{};           // init->cipher.cipher_id()
   crypto::Digest value_id{};            // H(inst, cipher_id, S_t)
   SeqNum requested = kNoSeq;            // (n-f)-th prediction
   SeqNum perceived = kNoSeq;            // our clock at INIT receipt

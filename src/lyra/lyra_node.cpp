@@ -375,7 +375,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
   const crypto::Digest value_id =
       compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
   charge(ccost(config_.costs.sign));
-  msg->sig = signer_.sign(value_id_bytes(value_id));
+  msg->sig = signer_.sign(value_id);
 
   own_batches_[inst] = std::move(batch);
   ++stats_.proposals;
@@ -450,19 +450,22 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
   b.perceived = env.delivered_at + clock_.offset();
 
   // Verify the broadcaster's signature (Alg. 1 line 4) and the batch body.
+  const crypto::Digest cipher_id = m.cipher.cipher_id();
   const crypto::Digest value_id =
-      compute_value_id(m.inst, m.cipher.cipher_id(), m.predictions);
+      compute_value_id(m.inst, cipher_id, m.predictions);
   if (!check_init_sig(value_id, m.sig, m.inst.proposer, m.nominal_bytes)) {
     return;
   }
-  adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload));
+  adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload),
+             cipher_id, value_id);
 }
 
-void LyraNode::adopt_init(BocInstance& b,
-                          std::shared_ptr<const InitMsg> init) {
+void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
+                          const crypto::Digest& cipher_id,
+                          const crypto::Digest& value_id) {
   b.init = std::move(init);
-  b.value_id = compute_value_id(b.inst, b.init->cipher.cipher_id(),
-                                b.init->predictions);
+  b.cipher_id = cipher_id;
+  b.value_id = value_id;
   if (b.perceived == kNoSeq) b.perceived = clock_.now();  // relay path
   b.requested = b.init->predictions.size() > config_.f
                     ? ordering::DistanceTable::requested_seq(
@@ -471,7 +474,7 @@ void LyraNode::adopt_init(BocInstance& b,
 
   // A reveal record may already exist (accepted via a peer's delta before
   // we saw the INIT); attach the cipher now.
-  if (const auto it = reveal_.find(b.init->cipher.cipher_id());
+  if (const auto it = reveal_.find(b.cipher_id);
       it != reveal_.end() && !it->second.have_cipher) {
     it->second.cipher = b.init->cipher;
     it->second.have_cipher = true;
@@ -491,7 +494,7 @@ void LyraNode::adopt_init(BocInstance& b,
                                                b.requested);
     if (b.validated) {
       ++stats_.validations_ok;
-      commit_.add_pending(b.init->cipher.cipher_id(), b.requested);
+      commit_.add_pending(b.cipher_id, b.requested);
       vote(b, true);
     } else {
       ++stats_.validations_rejected;
@@ -525,7 +528,7 @@ void LyraNode::vote(BocInstance& b, bool value) {
     msg->inst = b.inst;
     msg->value = true;
     charge(ccost(config_.costs.share_sign));
-    msg->share = signer_.share_sign(value_id_bytes(b.value_id));
+    msg->share = signer_.share_sign(b.value_id);
     msg->perceived = b.perceived;  // distance-table piggyback (§VI-B)
     broadcast_msg(msg);
   } else {
@@ -583,7 +586,7 @@ void LyraNode::try_deliver_one(BocInstance& b) {
 
   charge(ccost(config_.costs.share_combine));
   const auto proof =
-      registry_->share_combine(value_id_bytes(b.value_id), b.shares);
+      registry_->share_combine(b.value_id, b.shares);
   if (!proof) return;  // some shares were bogus; wait for more votes
 
   if (!b.deliver_broadcast) {
@@ -893,9 +896,7 @@ void LyraNode::decide(BocInstance& b, bool value) {
                            " value=" + std::to_string(value ? 1 : 0) +
                            " round=" + std::to_string(b.round));
 
-  const crypto::Digest cipher_id =
-      b.init ? b.init->cipher.cipher_id() : crypto::kZeroDigest;
-  if (b.init) commit_.resolve_pending(cipher_id);
+  if (b.init) commit_.resolve_pending(b.cipher_id);
 
   if (value) {
     LYRA_ASSERT(b.init != nullptr, "decided 1 without a delivered value");
@@ -907,7 +908,7 @@ void LyraNode::decide(BocInstance& b, bool value) {
       }
     }
     AcceptedEntry entry;
-    entry.cipher_id = cipher_id;
+    entry.cipher_id = b.cipher_id;
     entry.seq = b.requested;
     entry.inst = b.inst;
     merge_accepted(entry, id());
@@ -1218,10 +1219,6 @@ crypto::Digest LyraNode::compute_value_id(
   return h.digest();
 }
 
-Bytes LyraNode::value_id_bytes(const crypto::Digest& value_id) const {
-  return Bytes(value_id.begin(), value_id.end());
-}
-
 bool LyraNode::check_init_sig(const crypto::Digest& value_id,
                               const crypto::Signature& sig, NodeId proposer,
                               std::uint64_t nominal_bytes) {
@@ -1235,7 +1232,7 @@ bool LyraNode::check_init_sig(const crypto::Digest& value_id,
   charge(ccost(config_.costs.verify) +
          ccost(config_.costs.hash_cost(nominal_bytes)));
   const bool ok =
-      registry_->verify(value_id_bytes(value_id), sig, proposer);
+      registry_->verify(value_id, sig, proposer);
   if (config_.memoize_verification) {
     verify_cache_.store(proposer, value_id, sig.mac, ok);
   }
@@ -1256,7 +1253,7 @@ bool LyraNode::check_threshold_proof(const crypto::ThresholdSig& proof,
   }
   charge(ccost(config_.costs.threshold_verify));
   const bool ok =
-      registry_->threshold_verify(proof, value_id_bytes(value_id));
+      registry_->threshold_verify(proof, value_id);
   if (config_.memoize_verification) {
     verify_cache_.store(kNoNode, value_id, proof_key, ok);
   }

@@ -240,7 +240,9 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
 
   // --- BOC machinery ---
   BocInstance& join_instance(const InstanceId& inst);
-  void adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init);
+  void adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
+                  const crypto::Digest& cipher_id,
+                  const crypto::Digest& value_id);
   void vote(BocInstance& b, bool value);
   void try_deliver_one(BocInstance& b);
   void deliver_value(BocInstance& b, Round round, bool value);
@@ -268,7 +270,6 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   crypto::Digest compute_value_id(const InstanceId& inst,
                                   const crypto::Digest& cipher_id,
                                   const std::vector<SeqNum>& preds) const;
-  Bytes value_id_bytes(const crypto::Digest& value_id) const;
   template <class Msg>
   void broadcast_msg(std::shared_ptr<Msg> msg);
   template <class Msg>

@@ -24,7 +24,6 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
       registry_(registry),
       signer_(registry->signer_for(id)),
       clock_(sim, offset_for(id, config.clock_offset_spread)),
-      assembler_(config.batch_size, id),
       hotstuff_(
           [&] {
             hotstuff::HotStuffCore::Options o;
@@ -50,22 +49,28 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
               .charge = [this](TimeNs cost) { charge(cost); },
               .collect =
                   [this](std::uint64_t max_bytes) {
-                    std::vector<hotstuff::BlockEntry> out;
+                    // Take the longest prefix that fits (at least one
+                    // entry), then drop it from the queue in one erase.
                     std::uint64_t used = 0;
-                    while (!proposable_.empty()) {
-                      const auto& e = proposable_.front();
+                    auto end = proposable_.begin();
+                    for (; end != proposable_.end(); ++end) {
                       const std::uint64_t sz =
-                          64 + e.nominal_bytes + e.proof_bytes;
-                      if (used + sz > max_bytes && !out.empty()) break;
+                          64 + end->nominal_bytes + end->proof_bytes;
+                      if (used + sz > max_bytes &&
+                          end != proposable_.begin()) {
+                        break;
+                      }
                       used += sz;
-                      out.push_back(e);
-                      proposable_.erase(proposable_.begin());
                     }
+                    std::vector<hotstuff::BlockEntry> out(
+                        proposable_.begin(), end);
+                    proposable_.erase(proposable_.begin(), end);
                     return out;
                   },
               .on_commit =
                   [this](const hotstuff::Block& b) { on_block_commit(b); },
-          }) {
+          }),
+      assembler_(config.batch_size, id) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
   if (config.mempool_capacity > 0) {
     mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);
@@ -393,13 +398,9 @@ const Bytes* PompeNode::batch_payload(const crypto::Digest& digest) const {
   return it == known_.end() ? nullptr : &it->second.payload;
 }
 
-Bytes PompeNode::ts_message(const crypto::Digest& digest, SeqNum ts) const {
-  const crypto::Digest d = crypto::Hasher()
-                               .add_str("pompe-ts")
-                               .add(digest)
-                               .add_i64(ts)
-                               .digest();
-  return Bytes(d.begin(), d.end());
+crypto::Digest PompeNode::ts_message(const crypto::Digest& digest,
+                                     SeqNum ts) const {
+  return crypto::Hasher().add_str("pompe-ts").add(digest).add_i64(ts).digest();
 }
 
 bool PompeNode::check_ts_sig(const crypto::Digest& batch_digest, SeqNum ts,

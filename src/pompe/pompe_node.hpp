@@ -133,7 +133,7 @@ class PompeNode : public sim::Process {
   void handle_sequence(const sim::Envelope& env, const SequenceMsg& m);
   void on_block_commit(const hotstuff::Block& block);
 
-  Bytes ts_message(const crypto::Digest& digest, SeqNum ts) const;
+  crypto::Digest ts_message(const crypto::Digest& digest, SeqNum ts) const;
   TimeNs ccost(TimeNs base) const {
     return static_cast<TimeNs>(static_cast<double>(base) /
                                config_.cpu_parallelism);

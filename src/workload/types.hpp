@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -106,13 +107,18 @@ inline bool is_workload_batch(BytesView payload) {
 }
 
 /// Appends the decoded transactions to `out`. Returns false (leaving `out`
-/// untouched) if the payload is not a well-formed workload batch.
+/// untouched) if the payload is not a well-formed workload batch. Growth
+/// stays geometric, so decoding many batches into one vector (flattening a
+/// ledger) reallocates O(log total) times, not once per batch.
 inline bool decode_batch(BytesView payload, std::vector<WorkloadTx>* out) {
   if (!is_workload_batch(payload)) return false;
   const std::uint32_t count = detail::read_u32(payload, 4);
   if (payload.size() < encoded_batch_size(count)) return false;
   std::size_t at = kBatchHeaderBytes;
-  out->reserve(out->size() + count);
+  const std::size_t need = out->size() + count;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
   for (std::uint32_t i = 0; i < count; ++i) {
     WorkloadTx tx;
     tx.id = detail::read_u64(payload, at);

@@ -118,5 +118,26 @@ TEST_F(KeysTest, DeriveSecretIsStablePerContext) {
   EXPECT_NE(s.derive_secret(ctx1), registry_.signer_for(2).derive_secret(ctx1));
 }
 
+// Pinned MACs for seed 101: any change to key derivation, domain tagging
+// or the HMAC construction shows up here before it moves a golden run.
+TEST_F(KeysTest, MacsArePinned) {
+  const Bytes msg = to_bytes("tx-payload");
+  const Signer s = registry_.signer_for(3);
+  EXPECT_EQ(digest_hex(s.sign(msg).mac),
+            "c4c908567bb4cdc75f95f5d56014b5927180f38180468b32651cb24c938b9512");
+  EXPECT_EQ(digest_hex(s.share_sign(msg).mac),
+            "fef570635f3145b645e2fd98ced2f3600f8711d5b4a8f338651643fa930f11e8");
+  EXPECT_EQ(digest_hex(s.derive_secret(msg)),
+            "9034904d156fc292436b112f80c352c5893858effc391a9f8adbecb95c29c9d7");
+  Bytes long_msg(200);  // spans several blocks of the inner hash
+  for (std::size_t i = 0; i < long_msg.size(); ++i) {
+    long_msg[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(digest_hex(registry_.signer_for(0).sign(long_msg).mac),
+            "7ebcc2c06b7f5eca5d1cb9ec1160977567846914b457edead5f65a058c8046e3");
+  EXPECT_EQ(digest_hex(registry_.signer_for(6).sign(BytesView{}).mac),
+            "c591435497e554fbef200f1b61bea5ca05c703a6b6716e975ad702590d2017c8");
+}
+
 }  // namespace
 }  // namespace lyra::crypto

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "crypto/hash.hpp"
 #include "support/hex.hpp"
 
@@ -47,14 +50,35 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256, PaddingBoundaries) {
-  // Lengths around the 56-byte padding boundary and the 64-byte block size.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 121u}) {
-    const Bytes data(len, 0x5a);
-    Sha256 a;
-    a.update(data);
-    Sha256 b;
-    for (std::uint8_t byte : data) b.update(&byte, 1);
-    EXPECT_EQ(a.finalize(), b.finalize()) << "length " << len;
+  // Every padding branch of finalize(), around the 56-byte length slot and
+  // the 64-byte block: the terminator and length fit in the last block,
+  // spill into an extra one, or start a fresh one. Each input is also fed
+  // one byte at a time and in uneven pieces, so the buffered path pads too.
+  // Digests cross-checked against an independent SHA-256.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "16ed9c4697ca11d5f6fb25ea7900252dd4cb97215d7f6d0b2bb3e2a86ac0ec72"},
+      {56, "939ada93b2fe1e9c596d767bb408567c83e253667f0b25e5be8e16f35f2cbac9"},
+      {57, "ab84281f3b181e6cfc7cf870c7f3e7912be6fd1ac49c7dd6b21f6c25bb9a5eaa"},
+      {63, "6073f83b09ae82016cdbe24c18996c48f0eaa08ca675d0f6b90b807fc29e0149"},
+      {64, "b337ba9b0c69c391364e985fdcb23a889887e59800832c92fbfa22b8a3c40304"},
+      {65, "9d6a3fb113b586b4ab97bc11c993a27bd9b7bbcb756e0646083dc47a679600e6"},
+      {119, "9773fbac8194c3d789af101b49b6a26073076895ef6e0f658432849dd477a43f"},
+      {120, "070a538f085dd94821d4dc197c5c8b791051891d4fa2a1bf25d3c275236676f7"},
+      {121, "05a3caed94d5ee13402c4422abc9fa3ab0dbda743a8480a12cafefe5e5da992c"},
+  };
+  for (const auto& [len, expected] : cases) {
+    Bytes data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+    }
+    EXPECT_EQ(digest_hex(Sha256::hash(data)), expected) << len;
+    for (const std::size_t piece : {1u, 7u, 33u}) {
+      Sha256 h;
+      for (std::size_t at = 0; at < len; at += piece) {
+        h.update(data.data() + at, std::min(piece, len - at));
+      }
+      EXPECT_EQ(digest_hex(h.finalize()), expected) << len << "/" << piece;
+    }
   }
 }
 

@@ -343,6 +343,25 @@ TEST(BatchCodec, RejectsForeignAndTruncatedPayloads) {
   EXPECT_TRUE(decoded.empty());
 }
 
+TEST(BatchCodec, DecodingManyBatchesGrowsGeometrically) {
+  // Flattening a ledger decodes batch after batch into one vector; an exact
+  // per-batch reserve would reallocate (and copy everything) every time.
+  std::vector<WorkloadTx> txs;
+  for (std::uint64_t i = 0; i < 100; ++i) txs.push_back(make_tx(i, 10));
+  const Bytes payload = encode_batch(txs);
+  std::vector<WorkloadTx> sequence;
+  std::size_t capacity_changes = 0;
+  constexpr int kBatches = 1000;
+  for (int b = 0; b < kBatches; ++b) {
+    const std::size_t before = sequence.capacity();
+    ASSERT_TRUE(decode_batch(payload, &sequence));
+    if (sequence.capacity() != before) ++capacity_changes;
+  }
+  EXPECT_EQ(sequence.size(), kBatches * txs.size());
+  // log2(1000) ~ 10 doublings; one per batch would be 1000.
+  EXPECT_LE(capacity_changes, 12u);
+}
+
 // --- economics -----------------------------------------------------------
 
 Bytes one_tx_payload(const WorkloadTx& tx) { return encode_batch({tx}); }
