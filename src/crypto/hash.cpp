@@ -1,16 +1,26 @@
 #include "crypto/hash.hpp"
 
+#include <cstring>
+
 #include "support/hex.hpp"
 
 namespace lyra::crypto {
 
 namespace {
+/// Fields up to this size travel with their length prefix in one update.
+constexpr std::size_t kInlineField = 56;
+
 void add_len_prefixed(Sha256& h, const void* data, std::uint64_t len) {
-  std::uint8_t len_le[8];
+  std::uint8_t buf[8 + kInlineField];
   for (int i = 0; i < 8; ++i) {
-    len_le[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    buf[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  h.update(len_le, sizeof len_le);
+  if (len <= kInlineField) {
+    if (len > 0) std::memcpy(buf + 8, data, static_cast<std::size_t>(len));
+    h.update(buf, 8 + static_cast<std::size_t>(len));
+    return;
+  }
+  h.update(buf, 8);
   h.update(data, static_cast<std::size_t>(len));
 }
 }  // namespace

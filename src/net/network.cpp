@@ -78,9 +78,10 @@ void Network::deliver_one(NodeId from, NodeId to, sim::PayloadPtr payload,
 
   // FIFO channel: a message never overtakes an earlier one on the same
   // directed pair.
-  const std::uint64_t channel =
-      (static_cast<std::uint64_t>(from) << 32) | to;
-  TimeNs& floor = channel_floor_[channel];
+  if (channel_floor_.size() <= from) channel_floor_.resize(from + 1);
+  std::vector<TimeNs>& row = channel_floor_[from];
+  if (row.size() <= to) row.resize(processes_.size(), 0);
+  TimeNs& floor = row[to];
   const TimeNs deliver_at = std::max(sim_->now() + delay, floor);
   floor = deliver_at;
   delay = deliver_at - sim_->now();

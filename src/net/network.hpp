@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/adversary.hpp"
@@ -97,8 +96,10 @@ class Network final : public sim::Transport, public sim::ProcessDirectory {
   /// sender's jitter sequence never depends on other senders' traffic.
   std::uint64_t jitter_seed_;
   std::vector<std::uint64_t> jitter_counter_;
-  // FIFO floor per directed channel, keyed by (from << 32) | to.
-  std::unordered_map<std::uint64_t, TimeNs> channel_floor_;
+  // FIFO floor per directed channel: channel_floor_[from][to], rows grown
+  // on demand. Kept across detach/attach, so a restarted process's
+  // channels stay FIFO with what was sent before the crash.
+  std::vector<std::vector<TimeNs>> channel_floor_;
   double bandwidth_ = 0.0;  // bytes/sec; 0 = unlimited
   std::vector<TimeNs> nic_floor_;
 };

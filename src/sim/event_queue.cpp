@@ -3,88 +3,99 @@
 #include <algorithm>
 
 #include "sim/process.hpp"
-#include "support/assert.hpp"
 
 namespace lyra::sim {
 
 namespace {
-
-/// Ascending (at, id) — the global firing order.
-inline bool ref_before(TimeNs a_at, std::uint64_t a_id, TimeNs b_at,
-                       std::uint64_t b_id) {
-  if (a_at != b_at) return a_at < b_at;
-  return a_id < b_id;
+/// A recycled slot of `slab`, or a fresh one at its end.
+template <class Slab>
+std::uint32_t take_slot(Slab& slab, std::vector<std::uint32_t>& free_slots,
+                        std::size_t limit) {
+  if (free_slots.empty()) {
+    LYRA_ASSERT(slab.size() < limit, "event slab exhausted");
+    slab.emplace_back();
+    return static_cast<std::uint32_t>(slab.size() - 1);
+  }
+  const std::uint32_t slot = free_slots.back();
+  free_slots.pop_back();
+  return slot;
 }
-
 }  // namespace
 
 std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn, NodeId owner) {
-  const std::uint64_t id = next_id_++;
-  std::uint32_t slot;
-  if (!fn_free_.empty()) {
-    slot = fn_free_.back();
-    fn_free_.pop_back();
-    fn_slots_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(fn_slots_.size());
-    fn_slots_.push_back(std::move(fn));
-  }
-  timers_.push(Ref{at, id, slot, owner});
-  live_timer_slots_.emplace(id, slot);
-  return id;
+  return schedule_call(at, std::move(fn), nullptr, 0, owner);
+}
+
+std::uint64_t EventQueue::schedule_for(TimeNs at, Process* proc,
+                                       std::uint64_t token, Callback fn) {
+  return schedule_call(at, std::move(fn), proc, token, proc->id());
+}
+
+std::uint64_t EventQueue::schedule_call(TimeNs at, Callback fn, Process* proc,
+                                        std::uint64_t token, NodeId owner) {
+  const std::uint32_t slot = take_slot(calls_, call_free_, kSlotMask + 1);
+  CallSlot& c = calls_[slot];
+  c.fn = std::move(fn);
+  c.proc = proc;
+  c.token = token;
+  c.at = at;
+  c.id = (next_seq() << kSlotBits) | slot;
+  c.owner = owner;
+  ++live_calls_;
+  place(Ref{at, c.id, slot | kCallTag});
+  return c.id;
 }
 
 void EventQueue::schedule_delivery(TimeNs at, ProcessDirectory* dir,
                                    Envelope env) {
-  const std::uint64_t id = next_id_++;
-  std::uint32_t slot;
-  if (!env_free_.empty()) {
-    slot = env_free_.back();
-    env_free_.pop_back();
-    env_slots_[slot].env = std::move(env);
-    env_slots_[slot].dir = dir;
-  } else {
-    slot = static_cast<std::uint32_t>(env_slots_.size());
-    env_slots_.push_back(DeliverySlot{std::move(env), dir});
-  }
-  const Ref ref{at, id, slot, env_slots_[slot].env.to};
-  const std::uint64_t tick = tick_of(at);
+  const std::uint64_t id = next_seq() << kSlotBits;
+  const std::uint32_t slot = take_slot(deliveries_, delivery_free_, kCallTag);
+  DeliverySlot& d = deliveries_[slot];
+  d.env = std::move(env);
+  d.env.delivered_at = at;
+  d.dir = dir;
+  d.id = id;
+  place(Ref{at, id, slot});
+}
+
+void EventQueue::place(const Ref& ref) const {
+  const std::uint64_t tick = tick_of(ref.at);
   if (tick <= drain_tick_) {
     // Same tick as (or earlier than) the bucket being drained: the bucket
     // is already sorted, so late arrivals go through the side heap.
     drain_extra_.push_back(ref);
     std::push_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
   } else if (tick - drain_tick_ <= kBucketCount) {
-    const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
-    if (buckets_[idx].empty()) bucket_bit_set(idx);
-    buckets_[idx].push_back(ref);
-    ++wheel_count_;
+    link(ref.slot, tick);
   } else {
-    far_.push(ref);
+    far_.push_back(ref);
+    std::push_heap(far_.begin(), far_.end(), RefAfter{});
   }
-  ++deliveries_live_;
+}
+
+void EventQueue::link(std::uint32_t slot, std::uint64_t tick) const {
+  const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
+  if (heads_[idx] == kNil) bucket_bits_[idx >> 6] |= 1ull << (idx & 63);
+  next_of(slot) = heads_[idx];
+  heads_[idx] = slot;
+  ++wheel_count_;
 }
 
 bool EventQueue::cancel(std::uint64_t id) {
-  // Only ids with a live heap entry are marked: cancelling an already-fired
-  // timer or a delivery id would otherwise park an entry in cancelled_
-  // forever (drop_dead only reaps ids that surface at the heap top).
-  const auto it = live_timer_slots_.find(id);
-  if (it == live_timer_slots_.end()) return false;
-  fn_slots_[it->second] = nullptr;  // release captured state now
-  fn_free_.push_back(it->second);
-  live_timer_slots_.erase(it);
-  cancelled_.insert(id);
+  const std::size_t slot = static_cast<std::size_t>(id & kSlotMask);
+  if (slot >= calls_.size() || calls_[slot].id != id) return false;
+  CallSlot& c = calls_[slot];
+  c.id = kDeadId;   // its entry is skipped when it surfaces
+  c.fn = nullptr;   // release captured state now
+  c.proc = nullptr;
+  --live_calls_;
+  ++dead_pending_;
   return true;
 }
 
-void EventQueue::drop_dead() const {
-  while (!timers_.empty()) {
-    const auto it = cancelled_.find(timers_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);  // slot already released by cancel()
-    timers_.pop();
-  }
+void EventQueue::discard(const Ref& ref) const {
+  call_free_.push_back(ref.slot & ~kCallTag);
+  --dead_pending_;
 }
 
 std::uint64_t EventQueue::find_next_bucket_tick() const {
@@ -114,162 +125,149 @@ std::uint64_t EventQueue::find_next_bucket_tick() const {
   }
 }
 
-void EventQueue::pour_next_bucket() const {
-  const std::uint64_t tick = find_next_bucket_tick();
-  const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
-  // Swap storage so the emptied bucket inherits the drain's capacity:
-  // after warm-up neither side allocates again.
-  drain_sorted_.swap(buckets_[idx]);
-  bucket_bit_clear(idx);
-  wheel_count_ -= drain_sorted_.size();
-  std::sort(drain_sorted_.begin(), drain_sorted_.end(),
-            [](const Ref& a, const Ref& b) {
-              return ref_before(a.at, a.id, b.at, b.id);
-            });
-  drain_pos_ = 0;
-  drain_tick_ = tick;
-  LYRA_ASSERT(!drain_sorted_.empty() &&
-                  tick_of(drain_sorted_.front().at) == tick &&
-                  tick_of(drain_sorted_.back().at) == tick,
-              "bucket holds a foreign tick");
-}
-
-bool EventQueue::peek_delivery(Ref& out) const {
-  bool have = false;
-  Ref best{};
-  if (drain_pos_ < drain_sorted_.size()) {
-    best = drain_sorted_[drain_pos_];
-    have = true;
-  } else if (wheel_count_ > 0 && drain_extra_.empty()) {
-    // Drain exhausted: bring in the next calendar bucket. (Skipped while
-    // the side heap holds entries — those are <= drain_tick_, hence
-    // earlier than anything still on the wheel.)
-    pour_next_bucket();
-    best = drain_sorted_[drain_pos_];
-    have = true;
-  }
-  if (!drain_extra_.empty()) {
-    const Ref& e = drain_extra_.front();
-    if (!have || ref_before(e.at, e.id, best.at, best.id)) {
-      best = e;
-      have = true;
+bool EventQueue::refill() const {
+  while (drain_sorted_.empty()) {
+    if (wheel_count_ > 0) {
+      // Pour the next bucket into the drain.
+      const std::uint64_t tick = find_next_bucket_tick();
+      const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
+      for (std::uint32_t s = heads_[idx]; s != kNil; s = next_of(s)) {
+        const Ref ref = (s & kCallTag)
+                            ? Ref{calls_[s & ~kCallTag].at,
+                                  calls_[s & ~kCallTag].id, s}
+                            : Ref{deliveries_[s].env.delivered_at,
+                                  deliveries_[s].id, s};
+        LYRA_ASSERT(tick_of(ref.at) == tick, "bucket holds a foreign tick");
+        if (ref.id == kDeadId) {
+          discard(ref);
+        } else {
+          drain_sorted_.push_back(ref);
+        }
+        --wheel_count_;
+      }
+      heads_[idx] = kNil;
+      bucket_bits_[idx >> 6] &= ~(1ull << (idx & 63));
+      std::sort(drain_sorted_.begin(), drain_sorted_.end(),
+                [](const Ref& a, const Ref& b) { return RefAfter{}(b, a); });
+      drain_tick_ = tick;
+    } else if (!far_.empty()) {
+      // The ring ran dry: re-anchor it just below the earliest spilled
+      // event, so its horizon covers that event again.
+      drain_tick_ = tick_of(far_.front().at) - 1;
+    } else {
+      return false;
     }
-  }
-  if (!far_.empty()) {
-    const Ref& f = far_.top();
-    if (!have || ref_before(f.at, f.id, best.at, best.id)) {
-      best = f;
-      have = true;
+    // Move the spilled events the horizon now covers into the ring.
+    while (!far_.empty() &&
+           tick_of(far_.front().at) - drain_tick_ <= kBucketCount) {
+      const Ref ref = far_.front();
+      std::pop_heap(far_.begin(), far_.end(), RefAfter{});
+      far_.pop_back();
+      if (live(ref)) {
+        link(ref.slot, tick_of(ref.at));
+      } else {
+        discard(ref);
+      }
     }
-  }
-  if (have) out = best;
-  return have;
-}
-
-void EventQueue::pop_delivery(const Ref& ref) {
-  if (drain_pos_ < drain_sorted_.size() &&
-      drain_sorted_[drain_pos_].id == ref.id) {
-    if (++drain_pos_ == drain_sorted_.size()) {
-      drain_sorted_.clear();
-      drain_pos_ = 0;
-    }
-  } else if (!drain_extra_.empty() && drain_extra_.front().id == ref.id) {
-    std::pop_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
-    drain_extra_.pop_back();
-  } else {
-    LYRA_ASSERT(!far_.empty() && far_.top().id == ref.id,
-                "popped delivery missing from every tier");
-    far_.pop();
-  }
-  --deliveries_live_;
-}
-
-bool EventQueue::empty() const {
-  drop_dead();
-  return deliveries_live_ == 0 && timers_.empty();
-}
-
-TimeNs EventQueue::next_time() const {
-  drop_dead();
-  Ref del;
-  const bool have_del = peek_delivery(del);
-  if (timers_.empty()) return have_del ? del.at : kNoSeq;
-  if (!have_del) return timers_.top().at;
-  return std::min(del.at, timers_.top().at);
-}
-
-bool EventQueue::peek_next(TimeNs& at, std::uint64_t& id,
-                           NodeId& owner) const {
-  drop_dead();
-  Ref del;
-  const bool have_del = peek_delivery(del);
-  const bool have_timer = !timers_.empty();
-  if (!have_del && !have_timer) return false;
-  if (have_timer &&
-      (!have_del ||
-       ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
-    const Ref& t = timers_.top();
-    at = t.at;
-    id = t.id;
-    owner = t.owner;
-  } else {
-    at = del.at;
-    id = del.id;
-    owner = del.owner;
   }
   return true;
 }
 
-void EventQueue::pop_next(Popped& out) {
-  drop_dead();
-  Ref del;
-  const bool have_del = peek_delivery(del);
-  const bool have_timer = !timers_.empty();
-  LYRA_ASSERT(have_del || have_timer, "pop_next on empty queue");
-  if (have_timer &&
-      (!have_del ||
-       ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
-    const Ref t = timers_.top();
-    timers_.pop();
-    live_timer_slots_.erase(t.id);
-    out.at = t.at;
-    out.id = t.id;
-    out.owner = t.owner;
-    out.is_delivery = false;
-    out.fn = std::move(fn_slots_[t.slot]);
-    fn_slots_[t.slot] = nullptr;
-    fn_free_.push_back(t.slot);  // freed before fn runs so it can reuse the slot
-    out.dir = nullptr;
-    return;
+bool EventQueue::peek(Ref& out) const {
+  for (;;) {
+    if (drain_extra_.empty() && !refill()) return false;
+    // Side-heap entries sit at ticks <= drain_tick_, the ring after it and
+    // the spill heap beyond the ring: the earliest event is the drain front
+    // or the side-heap top.
+    front_in_extra_ =
+        drain_sorted_.empty() ||
+        (!drain_extra_.empty() &&
+         RefAfter{}(drain_sorted_[drain_pos_], drain_extra_.front()));
+    const Ref front =
+        front_in_extra_ ? drain_extra_.front() : drain_sorted_[drain_pos_];
+    if (live(front)) {
+      out = front;
+      return true;
+    }
+    take_front();
+    discard(front);
   }
-  pop_delivery(del);
-  DeliverySlot& ds = env_slots_[del.slot];
-  out.at = del.at;
-  out.id = del.id;
-  out.owner = del.owner;
-  out.is_delivery = true;
-  out.env = std::move(ds.env);
-  out.dir = ds.dir;
-  ds.dir = nullptr;
-  env_free_.push_back(del.slot);  // freed before deliver() for the same reason
 }
 
-TimeNs EventQueue::run_next() {
+void EventQueue::take_front() const {
+  if (front_in_extra_) {
+    std::pop_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
+    drain_extra_.pop_back();
+  } else if (++drain_pos_ == drain_sorted_.size()) {
+    drain_sorted_.clear();
+    drain_pos_ = 0;
+  }
+}
+
+bool EventQueue::peek_next(TimeNs& at, std::uint64_t& id,
+                           NodeId& owner) const {
+  Ref ref;
+  if (!peek(ref)) return false;
+  at = ref.at;
+  id = ref.id;
+  owner = (ref.slot & kCallTag) ? calls_[ref.slot & ~kCallTag].owner
+                                : deliveries_[ref.slot].env.to;
+  return true;
+}
+
+void EventQueue::take(const Ref& ref, Popped& out) {
+  take_front();
+  out.at = ref.at;
+  out.id = ref.id;
+  out.is_delivery = !(ref.slot & kCallTag);
+  // Slots are recycled before the event runs, so it can reuse them.
+  if (out.is_delivery) {
+    DeliverySlot& d = deliveries_[ref.slot];
+    out.owner = d.env.to;
+    out.env = std::move(d.env);
+    out.dir = d.dir;
+    delivery_free_.push_back(ref.slot);
+    return;
+  }
+  CallSlot& c = calls_[ref.slot & ~kCallTag];
+  out.owner = c.owner;
+  out.fn = std::move(c.fn);
+  c.fn = nullptr;
+  out.proc = c.proc;
+  out.token = c.token;
+  c.id = kDeadId;
+  call_free_.push_back(ref.slot & ~kCallTag);
+  --live_calls_;
+}
+
+void EventQueue::run_call(Process* proc, std::uint64_t token, Callback& fn) {
+  if (proc == nullptr) {
+    fn();
+  } else if (token == 0) {
+    proc->pump();
+  } else {
+    proc->run_timer(token, fn);
+  }
+}
+
+bool EventQueue::run_next_due(TimeNs deadline, TimeNs& clock) {
+  Ref ref;
+  if (!peek(ref) || ref.at > deadline) return false;
   Popped p;
-  pop_next(p);
+  take(ref, p);
+  clock = p.at;
   if (!p.is_delivery) {
-    p.fn();
-    return p.at;
+    run_call(p.proc, p.token, p.fn);
+    return true;
   }
   // Resolve the destination now: the process registered at send time may
   // have crashed (slot vacant -> drop) or restarted (new object).
   if (Process* dest = p.dir->process_at(p.env.to); dest != nullptr) {
-    p.env.delivered_at = p.at;
     dest->deliver(std::move(p.env));
   } else {
     ++deliveries_dropped_;
   }
-  return p.at;
+  return true;
 }
 
 }  // namespace lyra::sim

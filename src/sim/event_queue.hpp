@@ -3,12 +3,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
 #include <vector>
 
 #include "sim/message.hpp"
+#include "support/assert.hpp"
 #include "support/types.hpp"
 
 namespace lyra::sim {
@@ -31,25 +30,29 @@ class ProcessDirectory {
 /// insertion order (a monotone sequence number breaks ties), so a run is a
 /// pure function of the initial seed and configuration.
 ///
-/// Two event flavours with one shared id space (so the (at, id) total
-/// order spans both):
+/// One calendar holds every event kind — message deliveries and calls
+/// (process CPU pumps, process timers, harness callbacks) — under one id
+/// space, so the (at, id) order spans them all. Payloads live in two
+/// recycled slabs; the tiers move 24-byte {at, id, slot} handles:
 ///
-///  * Message deliveries — the hot path at ~10M/s for n = 100 clusters —
-///    run through a calendar ring: 4096 buckets of kBucketWidth ns each.
-///    A delivery within the ring's horizon is appended to its bucket
-///    (O(1)); the bucket is sorted once when the clock reaches it and
-///    drained by index. Deliveries beyond the horizon (NIC backlog under
-///    saturation, adversarial holds) wait in a spill min-heap consulted at
-///    pop time. Every structure carries 24-byte {at, id, slot} handles;
-///    the Envelope payloads live in a slab whose slots are recycled, so a
-///    steady-state run stops allocating entirely.
+///  * Ring: 4096 buckets of 2^17 ns (~537 ms horizon). A bucket is a list
+///    threaded through the slabs' `next` links, so the ring owns no storage;
+///    when the clock reaches a bucket it is copied into one drain vector
+///    and sorted once.
+///  * Side heap: events at or behind the tick being drained.
+///  * Spill heap: events beyond the horizon. They move into the ring as the
+///    horizon reaches them, and a ring that runs dry re-anchors just below
+///    the earliest of them, so the ring follows the clock however far it
+///    jumps.
 ///
-///  * Generic callbacks (timers; sparse) keep a binary heap of the same
-///    handles, with the std::function bodies in their own recycled slab —
-///    heap sift-ups move 24-byte PODs, never closures.
+/// A call's id carries its slot in the low kSlotBits, so cancel() is a slab
+/// lookup; the cancelled entry is skipped, and its slot recycled, when it
+/// surfaces.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+
+  EventQueue() { heads_.fill(kNil); }
 
   /// Schedules `fn` at absolute time `at`. Returns an id usable by cancel().
   /// `owner` tags the event with the process whose state the callback
@@ -57,48 +60,75 @@ class EventQueue {
   /// executor shards events by owner and treats ownerless ones as barriers.
   std::uint64_t schedule_at(TimeNs at, Callback fn, NodeId owner = kNoNode);
 
+  /// Schedules a call owned by `proc`: its CPU pump when `token` is 0, else
+  /// its timer `token` running `fn`. Returns an id usable by cancel().
+  std::uint64_t schedule_for(TimeNs at, Process* proc, std::uint64_t token,
+                             Callback fn = {});
+
   /// Schedules the delivery of `env` (to `env.to`, resolved through `dir`
   /// at delivery time) at `at`. Not cancellable. `at` must not precede the
   /// time of the last event run. The event's owner is env.to.
   void schedule_delivery(TimeNs at, ProcessDirectory* dir, Envelope env);
 
-  /// Cancels a scheduled callback event. Cancelling an already-fired or
-  /// unknown id is a harmless no-op. Returns true when a live event was
-  /// actually cancelled (the parallel executor uses false to chase events
-  /// it has already popped).
+  /// Cancels a scheduled call. Cancelling a fired or unknown id is a no-op;
+  /// returns true when a live event was actually cancelled (the parallel
+  /// executor uses false to chase events it has already popped).
   bool cancel(std::uint64_t id);
 
   /// True when no live (non-cancelled) event remains.
-  bool empty() const;
+  bool empty() const {
+    Ref ref;
+    return !peek(ref);
+  }
 
   /// Time of the next live event; kNoSeq if empty.
-  TimeNs next_time() const;
+  TimeNs next_time() const {
+    Ref ref;
+    return peek(ref) ? ref.at : kNoSeq;
+  }
 
-  /// Key and owner of the next live event, without popping it. Returns
-  /// false when empty. Used by the parallel executor to decide whether the
-  /// next event fits the current lookahead window before committing to it.
+  /// Key and owner of the next live event, without popping it; false when
+  /// empty. The parallel executor uses it to test its lookahead window.
   bool peek_next(TimeNs& at, std::uint64_t& id, NodeId& owner) const;
 
-  /// One event popped (not yet executed) by the parallel executor. Exactly
-  /// one of `fn` / (`env`, `dir`) is populated, per `is_delivery`.
+  /// One popped event: a call fills (`fn`, `proc`, `token`) and runs through
+  /// run_call(); a delivery fills (`env`, `dir`).
   struct Popped {
     TimeNs at = 0;
     std::uint64_t id = 0;
     NodeId owner = kNoNode;
     bool is_delivery = false;
     Callback fn;
+    Process* proc = nullptr;
+    std::uint64_t token = 0;
     Envelope env;
     ProcessDirectory* dir = nullptr;
   };
 
-  /// Pops the next live event without running it; the slab slot is recycled
-  /// and the payload moved into `out`. Must not be called on an empty
-  /// queue. run_next() == pop_next() + execute.
-  void pop_next(Popped& out);
+  /// Pops the next live event without running it; its slot is recycled and
+  /// the payload moved into `out`. Must not be called on an empty queue.
+  void pop_next(Popped& out) {
+    Ref ref;
+    LYRA_ASSERT(peek(ref), "pop_next on empty queue");
+    take(ref, out);
+  }
+
+  /// Runs a popped call: a harness callback (no proc), a process pump
+  /// (token 0) or a process timer.
+  static void run_call(Process* proc, std::uint64_t token, Callback& fn);
 
   /// Pops and runs the next live event; returns its time.
   /// Must not be called on an empty queue.
-  TimeNs run_next();
+  TimeNs run_next() {
+    TimeNs at = 0;
+    LYRA_ASSERT(run_next_due(std::numeric_limits<TimeNs>::max(), at),
+                "run_next on empty queue");
+    return at;
+  }
+
+  /// The run loop's step, one peek per event: when the next live event is
+  /// due by `deadline`, sets `clock` to its time, runs it and returns true.
+  bool run_next_due(TimeNs deadline, TimeNs& clock);
 
   /// Deliveries resolved to a vacant slot by an external executor (the
   /// parallel path resolves destinations on worker threads and reports
@@ -109,109 +139,116 @@ class EventQueue {
   /// (messages in flight to a crashed process).
   std::uint64_t deliveries_dropped() const { return deliveries_dropped_; }
 
-  // --- slab introspection (pool tests and perf diagnostics) ---
-
-  /// High-water mark of concurrently scheduled deliveries: the envelope
-  /// slab never shrinks, it only recycles.
-  std::size_t envelope_slab_capacity() const { return env_slots_.size(); }
-  std::size_t callback_slab_capacity() const { return fn_slots_.size(); }
-
-  /// Cancelled ids whose heap entry has not surfaced yet. Bounded by the
-  /// number of live timers: cancelling a fired or non-timer id is a no-op
-  /// (regression guard for the cancel-after-fire leak).
-  std::size_t cancelled_pending() const { return cancelled_.size(); }
-  std::size_t live_timer_count() const { return live_timer_slots_.size(); }
+  // --- introspection (tests and perf diagnostics) ---
+  /// Slab high-water marks: the slabs never shrink, they only recycle.
+  std::size_t envelope_slab_capacity() const { return deliveries_.size(); }
+  std::size_t callback_slab_capacity() const { return calls_.size(); }
+  /// Cancelled calls whose entries have not surfaced yet.
+  std::size_t cancelled_pending() const { return dead_pending_; }
+  /// Calls (timers, pumps, callbacks) neither fired nor cancelled.
+  std::size_t live_timer_count() const { return live_calls_; }
+  /// Entries waiting beyond the ring's horizon.
+  std::size_t spill_size() const { return far_.size(); }
+  /// Handles the drain and side heap keep allocated (the ring has none).
+  std::size_t ring_scratch_capacity() const {
+    return drain_sorted_.capacity() + drain_extra_.capacity();
+  }
 
  private:
-  /// One scheduled event: the ordering key plus a handle into the payload
-  /// slab. Trivially copyable — this is all that heaps and buckets move.
+  /// Ordering key plus slab slot (kCallTag set for the call slab).
   struct Ref {
     TimeNs at;
     std::uint64_t id;
     std::uint32_t slot;
-    NodeId owner;
   };
-  /// Min-heap / ascending-sort order on (at, id).
+  /// (at, id) descending: the min-heap order, and flipped, the firing order.
   struct RefAfter {
     bool operator()(const Ref& a, const Ref& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.id > b.id;
     }
   };
-  using RefHeap = std::priority_queue<Ref, std::vector<Ref>, RefAfter>;
 
-  // Calendar geometry: 4096 buckets x 2^17 ns (~131 us) = ~537 ms horizon,
-  // comfortably past the WAN latencies that dominate delivery delays.
+  static constexpr std::uint32_t kNil = ~0u;
+  static constexpr std::uint32_t kCallTag = 1u << 31;
+  // Ids are (sequence << kSlotBits) | call slot (0 for deliveries).
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr std::uint64_t kDeadId = ~0ull;
+
+  // 4096 buckets x 2^17 ns (~131 us) = ~537 ms horizon, past WAN latencies.
   static constexpr int kBucketShift = 17;
   static constexpr std::size_t kBucketCount = 4096;
   static constexpr std::uint64_t kBucketMask = kBucketCount - 1;
 
   static std::uint64_t tick_of(TimeNs at) {
-    return static_cast<std::uint64_t>(at) >> kBucketShift;
+    return at < 0 ? 0 : static_cast<std::uint64_t>(at) >> kBucketShift;
   }
 
-  // --- delivery tier ---
-  /// True when a live delivery exists; fills `out` with the earliest one.
-  /// Pours and sorts the next calendar bucket if the drain ran dry.
-  bool peek_delivery(Ref& out) const;
-  void pop_delivery(const Ref& ref);
-  /// Moves the earliest non-empty bucket into the drain. Requires the
-  /// drain to be empty and wheel_count_ > 0.
-  void pour_next_bucket() const;
+  struct DeliverySlot {
+    Envelope env;  // env.delivered_at is the event time
+    ProcessDirectory* dir = nullptr;
+    std::uint64_t id = 0;
+    std::uint32_t next = kNil;  // ring bucket link
+  };
+  struct CallSlot {
+    Callback fn;
+    Process* proc = nullptr;
+    std::uint64_t token = 0;
+    TimeNs at = 0;
+    std::uint64_t id = kDeadId;  // kDeadId while free or cancelled
+    std::uint32_t next = kNil;   // ring bucket link
+    NodeId owner = kNoNode;
+  };
+
+  std::uint64_t next_seq() {
+    LYRA_ASSERT(seq_ < (kDeadId >> kSlotBits), "event sequence exhausted");
+    return seq_++;
+  }
+  std::uint64_t schedule_call(TimeNs at, Callback fn, Process* proc,
+                              std::uint64_t token, NodeId owner);
+  void place(const Ref& ref) const;
+  void link(std::uint32_t slot, std::uint64_t tick) const;
+  std::uint32_t& next_of(std::uint32_t slot) const {
+    return (slot & kCallTag) ? calls_[slot & ~kCallTag].next
+                             : deliveries_[slot].next;
+  }
+  bool live(const Ref& ref) const {
+    return !(ref.slot & kCallTag) || calls_[ref.slot & ~kCallTag].id == ref.id;
+  }
+  /// Recycles the slot of a cancelled call whose entry just surfaced.
+  void discard(const Ref& ref) const;
+  /// Earliest live event, recycling cancelled entries on the way.
+  bool peek(Ref& out) const;
+  void take_front() const;  // pops the entry the last peek() returned
+  void take(const Ref& ref, Popped& out);
+  /// Pours the next bucket into the exhausted drain; false when none left.
+  bool refill() const;
   std::uint64_t find_next_bucket_tick() const;
-  void bucket_bit_set(std::size_t idx) const {
-    bucket_bits_[idx >> 6] |= (1ull << (idx & 63));
-  }
-  void bucket_bit_clear(std::size_t idx) const {
-    bucket_bits_[idx >> 6] &= ~(1ull << (idx & 63));
-  }
 
-  // --- timer tier ---
-  /// Discards cancelled events sitting at the front of the timer heap.
-  void drop_dead() const;
-
-  // Drain: the bucket whose tick == drain_tick_, sorted ascending, plus a
-  // small overflow heap for events inserted at ticks <= drain_tick_ after
-  // the sort (same-tick sends from running handlers, and post-jump
-  // stragglers). Everything below drain_pos_ has fired.
+  // Drain: the sorted bucket at drain_tick_ (below drain_pos_ has fired),
+  // plus the side heap for events at ticks <= drain_tick_.
   mutable std::uint64_t drain_tick_ = 0;
   mutable std::vector<Ref> drain_sorted_;
   mutable std::size_t drain_pos_ = 0;
   mutable std::vector<Ref> drain_extra_;  // heap via std::push/pop_heap
+  mutable bool front_in_extra_ = false;   // where the last peek() found it
 
-  // Wheel: buckets for ticks in (drain_tick_, drain_tick_ + kBucketCount],
-  // one live tick per bucket; a bitmap accelerates the next-bucket scan.
-  mutable std::array<std::vector<Ref>, kBucketCount> buckets_;
+  // Ring: list heads for ticks in (drain_tick_, drain_tick_ + kBucketCount];
+  // a bitmap of non-empty buckets speeds up the next-bucket scan.
+  mutable std::array<std::uint32_t, kBucketCount> heads_;
   mutable std::array<std::uint64_t, kBucketCount / 64> bucket_bits_{};
   mutable std::size_t wheel_count_ = 0;
 
-  // Spill: deliveries beyond the wheel horizon. Never migrated — simply a
-  // third candidate source at pop time.
-  RefHeap far_;
+  mutable std::vector<Ref> far_;  // spill heap
+  mutable std::vector<DeliverySlot> deliveries_;
+  mutable std::vector<std::uint32_t> delivery_free_;
+  mutable std::vector<CallSlot> calls_;
+  mutable std::vector<std::uint32_t> call_free_;
 
-  std::size_t deliveries_live_ = 0;  // drain remainder + extra + wheel + far
-
-  // Envelope slab with slot recycling. Each slot keeps the directory the
-  // delivery was scheduled through (a simulation may host several).
-  struct DeliverySlot {
-    Envelope env;
-    ProcessDirectory* dir = nullptr;
-  };
-  std::vector<DeliverySlot> env_slots_;
-  std::vector<std::uint32_t> env_free_;
-
-  // Timers: POD heap + recycled callback slab + lazy cancellation. A
-  // cancelled id's heap entry stays until it surfaces; cancel() releases
-  // the callback slot eagerly and only marks ids that are actually live
-  // (live_timer_slots_: id -> slot for every timer still in the heap), so
-  // cancelled_ stays bounded by the live timer count.
-  mutable RefHeap timers_;
-  mutable std::vector<Callback> fn_slots_;
-  mutable std::vector<std::uint32_t> fn_free_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  mutable std::unordered_map<std::uint64_t, std::uint32_t> live_timer_slots_;
-
-  std::uint64_t next_id_ = 0;
+  std::size_t live_calls_ = 0;
+  mutable std::size_t dead_pending_ = 0;
+  std::uint64_t seq_ = 0;
   std::uint64_t deliveries_dropped_ = 0;
 };
 

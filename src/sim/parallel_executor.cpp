@@ -100,6 +100,8 @@ ParallelExecutor::Task* ParallelExecutor::acquire_task() {
 
 void ParallelExecutor::recycle(Task* t) {
   t->fn = nullptr;
+  t->proc = nullptr;
+  t->token = 0;
   t->env = Envelope{};
   t->dir = nullptr;
   t->effects.clear();  // keeps capacity
@@ -208,7 +210,6 @@ void ParallelExecutor::execute(Task* t) {
     // attach/detach only happen in barrier events, which never overlap
     // worker execution.
     if (Process* dest = t->dir->process_at(t->env.to); dest != nullptr) {
-      t->env.delivered_at = t->at;
       dest->deliver(std::move(t->env));
     } else {
       Effect e;
@@ -217,7 +218,7 @@ void ParallelExecutor::execute(Task* t) {
     }
     t->env = Envelope{};  // release the payload on this thread
   } else {
-    t->fn();
+    EventQueue::run_call(t->proc, t->token, t->fn);
     t->fn = nullptr;
   }
   t_current_task = nullptr;
@@ -484,6 +485,8 @@ std::uint64_t ParallelExecutor::run_inline(TimeNs deadline,
     t->owner = p.owner;
     t->is_delivery = p.is_delivery;
     t->fn = std::move(p.fn);
+    t->proc = p.proc;
+    t->token = p.token;
     t->env = std::move(p.env);
     t->dir = p.dir;
     execute(t);
@@ -596,6 +599,8 @@ std::uint64_t ParallelExecutor::run(TimeNs deadline,
       t->owner = p.owner;
       t->is_delivery = p.is_delivery;
       t->fn = std::move(p.fn);
+      t->proc = p.proc;
+      t->token = p.token;
       t->env = std::move(p.env);
       t->dir = p.dir;
       owner_state(owner).held.push(t);

@@ -151,6 +151,8 @@ class ParallelExecutor {
     NodeId owner = kNoNode;
     bool is_delivery = false;
     EventQueue::Callback fn;
+    Process* proc = nullptr;
+    std::uint64_t token = 0;
     Envelope env;
     ProcessDirectory* dir = nullptr;
     std::vector<Effect> effects;

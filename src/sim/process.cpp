@@ -45,7 +45,7 @@ void Process::schedule_pump() {
 }
 
 void Process::apply_schedule_pump(TimeNs at) {
-  pump_event_ = sim_->schedule_at(at, [this] { pump(); }, id_);
+  pump_event_ = sim_->schedule_for(std::max(at, sim_->now()), this, 0);
 }
 
 void Process::pump() {
@@ -120,29 +120,26 @@ Process::TimerId Process::set_timer(TimeNs delay, std::function<void()> fn) {
 
 void Process::apply_set_timer(TimerId token, TimeNs delay,
                               std::function<void()> fn) {
-  const std::uint64_t event_id =
-      sim_->schedule_in(delay,
-                        [this, token, fn = std::move(fn)] {
-                          // Drop the bookkeeping entry before running: fn
-                          // may re-arm a timer. Under parallel execution
-                          // this lambda runs on a worker thread while the
-                          // scheduler may be committing another event's
-                          // set/cancel on the same map, so the erase must
-                          // go through the effect log like every other
-                          // engine mutation.
-                          if (auto* log = current_effect_log()) {
-                            Effect e;
-                            e.kind = Effect::Kind::kTimerFired;
-                            e.proc = this;
-                            e.token = token;
-                            log->push_back(std::move(e));
-                          } else {
-                            live_timers_.erase(token);
-                          }
-                          fn();
-                        },
-                        id_);
-  live_timers_.emplace(token, event_id);
+  live_timers_.emplace(
+      token, sim_->schedule_for(sim_->now() + delay, this, token,
+                                std::move(fn)));
+}
+
+void Process::run_timer(TimerId token, std::function<void()>& fn) {
+  // Drop the bookkeeping entry before running: fn may re-arm a timer. Under
+  // parallel execution this runs on a worker thread while the scheduler may
+  // be committing another event's set/cancel on the same map, so the erase
+  // goes through the effect log like every other engine mutation.
+  if (auto* log = current_effect_log()) {
+    Effect e;
+    e.kind = Effect::Kind::kTimerFired;
+    e.proc = this;
+    e.token = token;
+    log->push_back(std::move(e));
+  } else {
+    live_timers_.erase(token);
+  }
+  fn();
 }
 
 void Process::apply_timer_fired(TimerId token) { live_timers_.erase(token); }

@@ -59,9 +59,9 @@ class Process {
 
   Process(Simulation* sim, Transport* transport, NodeId id);
 
-  /// Cancels every outstanding timer and the pending pump event: those
-  /// callbacks capture `this`, so they must not outlive the process. This
-  /// is what makes mid-run teardown (simulated crash) safe.
+  /// Cancels every outstanding timer and disarms the pending pump: those
+  /// events point at this process, so they must not outlive it. This is
+  /// what makes mid-run teardown (simulated crash) safe.
   virtual ~Process();
 
   Process(const Process&) = delete;
@@ -112,6 +112,7 @@ class Process {
   bool tracing() const { return sim_->trace().enabled(); }
 
  private:
+  friend class EventQueue;
   friend class ParallelExecutor;
 
   // Commit-side halves of the engine calls above. Serial execution calls
@@ -126,6 +127,8 @@ class Process {
 
   void schedule_pump();
   void pump();
+  /// Fires timer `token`: drops its bookkeeping entry, then runs `fn`.
+  void run_timer(TimerId token, std::function<void()>& fn);
 
   Simulation* sim_;
   Transport* transport_;

@@ -65,13 +65,7 @@ std::uint64_t Simulation::run_until(TimeNs deadline) {
     return executed;
   }
   std::uint64_t executed = 0;
-  while (!queue_.empty()) {
-    const TimeNs next = queue_.next_time();
-    if (next > deadline) break;
-    now_ = next;
-    queue_.run_next();
-    ++executed;
-  }
+  while (queue_.run_next_due(deadline, now_)) ++executed;
   if (now_ < deadline) now_ = deadline;
   return executed;
 }
@@ -89,12 +83,10 @@ std::uint64_t Simulation::run_all(std::uint64_t max_events) {
     return executed;
   }
   std::uint64_t executed = 0;
-  while (!queue_.empty()) {
-    LYRA_ASSERT(executed < max_events,
-                "event budget exhausted: livelock or unbounded protocol");
-    now_ = queue_.next_time();
-    queue_.run_next();
+  while (queue_.run_next_due(std::numeric_limits<TimeNs>::max(), now_)) {
     ++executed;
+    LYRA_ASSERT(executed <= max_events,
+                "event budget exhausted: livelock or unbounded protocol");
   }
   return executed;
 }

@@ -65,6 +65,12 @@ class Simulation {
     return queue_.schedule_at(at < t ? t : at, std::move(fn), owner);
   }
 
+  /// Process-owned call at absolute time `at`; see EventQueue::schedule_for.
+  std::uint64_t schedule_for(TimeNs at, Process* proc, std::uint64_t token,
+                             EventQueue::Callback fn = {}) {
+    return queue_.schedule_for(at, proc, token, std::move(fn));
+  }
+
   void cancel(std::uint64_t event_id);
 
   /// Message-delivery fast path: no callback allocation per message. The

@@ -49,6 +49,44 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Hasher, MixedFieldSequencesArePinned) {
+  // Length-prefixed fields of every Hasher flavour, short and long, empty
+  // and block-straddling. Digests pinned from the two-update-per-field
+  // implementation and cross-checked against an independent SHA-256 over
+  // the framing (8-byte little-endian length, then the bytes).
+  const Digest seed = Hasher().add_str("seed").digest();
+  EXPECT_EQ(digest_hex(seed),
+            "bba7457a65793953620f79bcbf119b61089e0cb27229ba73db0d4bdd08219307");
+  EXPECT_EQ(digest_hex(Hasher().add_str("ts").add(seed).add_i64(-42).digest()),
+            "a0ea69d7e0197c2bb2ee00925c4bcaf0722252dfb33f01e013f8f8a584d0cba7");
+  const Bytes empty;
+  EXPECT_EQ(digest_hex(Hasher()
+                           .add_str("")
+                           .add(BytesView(empty))
+                           .add_u32(7)
+                           .add_u64(~0ull)
+                           .digest()),
+            "fe86f173873e22d5649800f224511d71262c5c6ff929f3c8bc9ab112e849b189");
+  const std::string x50(50, 'x');
+  const std::string y100(100, 'y');
+  EXPECT_EQ(digest_hex(Hasher()
+                           .add_i64(1)
+                           .add_str(x50)
+                           .add(seed)
+                           .add_str(y100)
+                           .digest()),
+            "116e4bada4fcf5243b149d56db493a0684dd0b4fe80c9e9af16dcec30b916b9d");
+  const Bytes payload = to_bytes("payload");
+  EXPECT_EQ(digest_hex(Hasher()
+                           .add(BytesView(payload))
+                           .add(seed)
+                           .add(seed)
+                           .add_str(x50)
+                           .add_i64(1234567890123)
+                           .digest()),
+            "4f52e9f362dafddfeb693689ccd75c2f840f41c20f24fbf1adf107efbf2eb4cb");
+}
+
 TEST(Sha256, PaddingBoundaries) {
   // Every padding branch of finalize(), around the 56-byte length slot and
   // the 64-byte block: the terminator and length fit in the last block,

@@ -112,5 +112,31 @@ TEST_F(BandwidthTest, FifoChannelNeverReorders) {
   }
 }
 
+TEST_F(BandwidthTest, FifoFloorSurvivesSenderRestart) {
+  // A crashed and restarted sender keeps its channels' FIFO floors: what
+  // the new incarnation sends never overtakes what the old one still has
+  // in flight on the same channel.
+  sim::Simulation sim(5);
+  Network net(&sim, std::make_unique<UniformLatency>(ms(10), 0.5), 2);
+  Sink a(&sim, &net, 0);
+  auto b = std::make_unique<Sink>(&sim, &net, 1);
+  net.attach(&a);
+  net.attach(b.get());
+  for (std::size_t i = 0; i < 50; ++i) {
+    b->send(0, std::make_shared<Blob>(64 + i));
+  }
+  net.detach(1);
+  b = std::make_unique<Sink>(&sim, &net, 1);
+  net.attach(b.get());
+  for (std::size_t i = 50; i < 100; ++i) {
+    b->send(0, std::make_shared<Blob>(64 + i));
+  }
+  sim.run_all();
+  ASSERT_EQ(a.received.size(), 100u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(sim::payload_as<Blob>(a.received[i])->size, 64 + i);
+  }
+}
+
 }  // namespace
 }  // namespace lyra::net

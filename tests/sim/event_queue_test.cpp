@@ -229,11 +229,15 @@ TEST(EventQueue, CancelDeliveryIdIsNoop) {
   // that suppresses or leaks anything.
   EventQueue q;
   RecordingDirectory dir;
-  // Ids come from one shared counter; the delivery's id is the successor
-  // of the timer id handed out just before it.
   const auto timer_id = q.schedule_at(20, [] {});
   q.schedule_delivery(10, &dir, envelope_to(0));
-  EXPECT_FALSE(q.cancel(timer_id + 1));
+  TimeNs at = 0;
+  std::uint64_t delivery_id = 0;
+  NodeId owner = kNoNode;
+  ASSERT_TRUE(q.peek_next(at, delivery_id, owner));
+  EXPECT_EQ(owner, 0u);
+  EXPECT_FALSE(q.cancel(delivery_id));
+  EXPECT_FALSE(q.cancel(timer_id + 1));  // a neighbouring slot, never issued
   EXPECT_EQ(q.cancelled_pending(), 0u);
   q.run_next();
   EXPECT_EQ(dir.fired, (std::vector<NodeId>{0}));
@@ -279,6 +283,107 @@ TEST(EventQueue, CancelAfterRescheduleOnlyHitsTheOldId) {
   EXPECT_EQ(b, 1);
   q.cancel(idb);  // already fired: harmless no-op
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelThenReuseTheSlot) {
+  // A cancelled entry parks its slot until it surfaces; the slot is then
+  // recycled. The stale entry never fires, and its id cannot reach the
+  // slot's new occupant.
+  EventQueue q;
+  int a = 0, b = 0;
+  const auto ida = q.schedule_at(10, [&] { ++a; });
+  EXPECT_TRUE(q.cancel(ida));
+  EXPECT_EQ(q.cancelled_pending(), 1u);
+  EXPECT_TRUE(q.empty());  // the stale entry surfaces, is skipped, freed
+  EXPECT_EQ(q.cancelled_pending(), 0u);
+  const auto idb = q.schedule_at(20, [&] { ++b; });
+  EXPECT_EQ(q.callback_slab_capacity(), 1u);  // b took a's slot
+  EXPECT_NE(idb, ida);
+  EXPECT_FALSE(q.cancel(ida));
+  EXPECT_EQ(q.run_next(), 20);
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelledEntriesAreSkippedInEveryTier) {
+  // One cancelled timer per tier: the ring (near future), the spill heap
+  // (beyond the ~537 ms horizon) and the side heap (scheduled into the
+  // tick being drained). None fires; every parked slot is reclaimed.
+  EventQueue q;
+  std::vector<int> order;
+  std::uint64_t side = 0;
+  q.schedule_at(us(10), [&] {
+    order.push_back(0);
+    side = q.schedule_at(us(20), [&] { order.push_back(-1); });
+    q.schedule_at(us(30), [&] { order.push_back(3); });
+    q.cancel(side);
+  });
+  const auto ring = q.schedule_at(ms(5), [&] { order.push_back(-2); });
+  const auto spill = q.schedule_at(ms(2000), [&] { order.push_back(-3); });
+  q.schedule_at(ms(3000), [&] { order.push_back(4); });
+  EXPECT_EQ(q.spill_size(), 2u);
+  EXPECT_TRUE(q.cancel(ring));
+  EXPECT_TRUE(q.cancel(spill));
+  EXPECT_EQ(q.live_timer_count(), 2u);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 4}));
+  EXPECT_EQ(q.cancelled_pending(), 0u);
+  EXPECT_EQ(q.live_timer_count(), 0u);
+  EXPECT_FALSE(q.cancel(side));
+}
+
+TEST(EventQueue, RingFollowsTheClockPastAFarFirstEvent) {
+  // Regression: the ring only re-anchored when it poured a bucket, so a
+  // run whose first event lay beyond the horizon kept the ring parked at
+  // tick 0 and spilled every later event into the heap.
+  EventQueue q;
+  RecordingDirectory dir;
+  q.schedule_delivery(ms(2000), &dir, envelope_to(0));
+  EXPECT_EQ(q.spill_size(), 1u);
+  EXPECT_EQ(q.run_next(), ms(2000));
+  for (NodeId i = 1; i <= 100; ++i) {
+    q.schedule_delivery(ms(2000) + us(100) * i, &dir, envelope_to(i));
+  }
+  EXPECT_EQ(q.spill_size(), 0u);
+  std::vector<TimeNs> fire_times;
+  while (!q.empty()) fire_times.push_back(q.run_next());
+  EXPECT_EQ(fire_times.size(), 100u);
+  EXPECT_TRUE(std::is_sorted(fire_times.begin(), fire_times.end()));
+  EXPECT_TRUE(std::is_sorted(dir.fired.begin(), dir.fired.end()));
+}
+
+TEST(EventQueue, SpilledEventsMoveIntoTheRingAsTheHorizonPasses) {
+  EventQueue q;
+  RecordingDirectory dir;
+  q.schedule_delivery(ms(1), &dir, envelope_to(0));
+  q.schedule_delivery(ms(400), &dir, envelope_to(1));
+  q.schedule_delivery(ms(900), &dir, envelope_to(2));
+  q.schedule_delivery(ms(1300), &dir, envelope_to(3));
+  EXPECT_EQ(q.spill_size(), 2u);
+  EXPECT_EQ(q.run_next(), ms(1));
+  EXPECT_EQ(q.spill_size(), 2u);
+  EXPECT_EQ(q.run_next(), ms(400));
+  EXPECT_EQ(q.spill_size(), 1u);  // 900 ms is now within the horizon
+  EXPECT_EQ(q.run_next(), ms(900));
+  EXPECT_EQ(q.spill_size(), 0u);
+  EXPECT_EQ(q.run_next(), ms(1300));
+  EXPECT_EQ(dir.fired, (std::vector<NodeId>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, RingScratchStaysBoundedAfterABurst) {
+  // 64 deliveries in each of 1024 buckets: the ring keeps one drain vector
+  // sized for the largest bucket, not storage in every bucket it touched.
+  EventQueue q;
+  RecordingDirectory dir;
+  for (TimeNs b = 1; b <= 1024; ++b) {
+    for (TimeNs i = 0; i < 64; ++i) {
+      q.schedule_delivery(b * us(200) + i, &dir, envelope_to(0));
+    }
+  }
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(dir.fired.size(), 64u * 1024u);
+  EXPECT_LE(q.ring_scratch_capacity(), 128u);
 }
 
 }  // namespace

@@ -2,8 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "sim/process.hpp"
+
 namespace lyra::sim {
 namespace {
+
+class NullTransport final : public Transport {
+ public:
+  void send(NodeId, NodeId, PayloadPtr) override {}
+  std::size_t node_count() const override { return 0; }
+};
+
+/// Logs "<id>:<from>" for every message it handles, then charges `cost`.
+class Logger final : public Process {
+ public:
+  Logger(Simulation* sim, Transport* t, NodeId id,
+         std::vector<std::string>* log)
+      : Process(sim, t, id), log_(log) {}
+  TimeNs cost = 0;
+
+ protected:
+  void on_message(const Envelope& env) override {
+    log_->push_back(std::to_string(id()) + ":" + std::to_string(env.from));
+    charge(cost);
+  }
+
+ private:
+  std::vector<std::string>* log_;
+};
+
+class Directory final : public ProcessDirectory {
+ public:
+  Process* process_at(NodeId id) const override {
+    return id < procs.size() ? procs[id] : nullptr;
+  }
+  std::vector<Process*> procs;
+};
+
+Envelope from_to(NodeId from, NodeId to) {
+  Envelope env;
+  env.from = from;
+  env.to = to;
+  return env;
+}
 
 TEST(Simulation, ClockAdvancesWithEvents) {
   Simulation sim(1);
@@ -78,6 +123,56 @@ TEST(Simulation, TraceIgnoredWhenDisabled) {
   Simulation sim(1);
   sim.trace().record(0, 0, "cat", "x");
   EXPECT_TRUE(sim.trace().events().empty());
+}
+
+TEST(Simulation, EqualTimeTimersPumpsAndDeliveriesFireInInsertionOrder) {
+  // At one instant T, inserted in this order: a timer, a CPU pump (P's
+  // second message waits for the CPU its first one keeps busy until T), a
+  // delivery and another timer. Whichever tier T lands in — the spill
+  // heap (beyond the ~537 ms horizon), the ring, or the side heap (the
+  // tick being drained) — they fire in insertion order.
+  struct Case {
+    TimeNs start, at;
+  };
+  for (const Case c : {Case{0, ms(2000)}, Case{0, ms(5)},
+                       Case{us(10), us(20)}}) {
+    Simulation sim(1);
+    NullTransport net;
+    std::vector<std::string> log;
+    Logger p(&sim, &net, 0, &log);
+    Logger q(&sim, &net, 1, &log);
+    Directory dir;
+    dir.procs = {&p, &q};
+    sim.schedule_at(c.start, [&] {
+      sim.schedule_at(c.at, [&] { log.push_back("timer-a"); });
+      p.cost = c.at - sim.now();
+      p.deliver(from_to(100, 0));  // idle CPU: handled inline
+      p.deliver(from_to(101, 0));  // queued; pump armed at c.at
+      sim.schedule_delivery_in(c.at - sim.now(), &dir, from_to(102, 1));
+      sim.schedule_at(c.at, [&] { log.push_back("timer-b"); });
+    });
+    EXPECT_EQ(sim.run_all(), 5u) << "at " << c.at;
+    EXPECT_EQ(log, (std::vector<std::string>{"0:100", "timer-a", "0:101",
+                                             "1:102", "timer-b"}))
+        << "at " << c.at;
+    EXPECT_EQ(sim.now(), c.at);
+  }
+}
+
+TEST(Simulation, PumpDisarmedByTeardownNeitherRunsNorCounts) {
+  Simulation sim(1);
+  NullTransport net;
+  std::vector<std::string> log;
+  auto p = std::make_unique<Logger>(&sim, &net, 0, &log);
+  p->cost = ms(1);
+  sim.schedule_at(0, [&] {
+    p->deliver(from_to(100, 0));
+    p->deliver(from_to(101, 0));  // pump armed at 1 ms
+  });
+  EXPECT_EQ(sim.run_until(us(500)), 1u);
+  p.reset();  // crash: teardown disarms the pending pump
+  EXPECT_EQ(sim.run_until(ms(10)), 0u);
+  EXPECT_EQ(log, (std::vector<std::string>{"0:100"}));
 }
 
 TEST(Simulation, CancelRacesBatchedDispatch) {

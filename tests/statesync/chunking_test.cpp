@@ -76,7 +76,9 @@ TEST(SyncChunking, ChunkTilingCoversBlobExactly) {
   for (std::size_t i = 0; i < count; ++i) {
     const BytesView slice = chunk_slice(blob, i, kChunk);
     EXPECT_LE(slice.size(), kChunk);
-    if (i + 1 < count) EXPECT_EQ(slice.size(), kChunk);
+    if (i + 1 < count) {
+      EXPECT_EQ(slice.size(), kChunk);
+    }
     total += slice.size();
     reassembled.insert(reassembled.end(), slice.begin(), slice.end());
   }
